@@ -15,13 +15,16 @@
 //!    byte (queries run serially here; parallelism only races wall-clock,
 //!    but counter equality is simplest to pin single-threaded).
 //!
-//! Reported: per-query wall-clock cold vs unbounded, plus the counters.
+//! Reported: per-query wall-clock cold vs unbounded, the counters, and
+//! how a cold chunk load splits into reading the file and checking +
+//! decoding it (the `ongoingdb_chunk_read_us` / `ongoingdb_chunk_decode_us`
+//! histograms, one observation per cache miss).
 
 use ongoing_bench::{header, ms, row, scaled};
 use ongoing_core::time::tp;
 use ongoing_core::OngoingInterval;
 use ongoing_engine::plan::optimizer::compile;
-use ongoing_engine::storage::TempDir;
+use ongoing_engine::storage::{TempDir, CHUNK_DECODE_US_METRIC, CHUNK_READ_US_METRIC};
 use ongoing_engine::{
     Database, DurableOptions, DurableStats, ExecContext, JoinStrategy, MetricsSnapshot,
     PlannerConfig, QueryBuilder,
@@ -238,6 +241,31 @@ fn main() {
         s1.cache_peak_bytes,
         "registry view must agree with DurableStats"
     );
+
+    // Where a cold load's time goes: one observation per miss in each
+    // half. Wall-clock, so reported, not asserted beyond the counts.
+    println!();
+    let widths = [8, 28, 8, 14, 10];
+    header(
+        &["run", "histogram", "count", "median [us]", "mean [us]"],
+        &widths,
+    );
+    for (run, m, s) in [("first", &m1, &s1), ("second", &m2, &s2)] {
+        for name in [CHUNK_READ_US_METRIC, CHUNK_DECODE_US_METRIC] {
+            let h = m.histogram(name).expect("chunk-load histogram registered");
+            assert_eq!(h.count, s.cache_misses, "{name}: one observation per miss");
+            row(
+                &[
+                    run.to_string(),
+                    name.to_string(),
+                    h.count.to_string(),
+                    format!("≤ {}", h.median_bound().unwrap_or(0)),
+                    format!("{:.1}", h.sum as f64 / h.count.max(1) as f64),
+                ],
+                &widths,
+            );
+        }
+    }
     println!(
         "\nrepro_outofcore: {} filter rows + {} join rows identical at {:.1}x \
          out-of-core; peak {} B ≤ budget {} B; counters deterministic.",

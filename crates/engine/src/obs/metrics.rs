@@ -209,6 +209,27 @@ impl HistogramSnapshot {
     pub fn bound(i: usize) -> u64 {
         bound(i)
     }
+
+    /// The upper bound of the bucket holding the median observation
+    /// (`None` when empty, `u64::MAX` when it falls in `+Inf`) — the
+    /// median to the histogram's power-of-two resolution.
+    pub fn median_bound(&self) -> Option<u64> {
+        let half = self.count.div_ceil(2);
+        let mut seen = 0;
+        self.buckets
+            .iter()
+            .position(|&n| {
+                seen += n;
+                seen >= half && seen > 0
+            })
+            .map(|i| {
+                if i < HISTOGRAM_BOUNDS {
+                    bound(i)
+                } else {
+                    u64::MAX
+                }
+            })
+    }
 }
 
 /// One frozen metric value.
@@ -361,6 +382,31 @@ mod tests {
         assert_eq!(hs.buckets[0], 1); // v=1 ≤ 2^0
         assert_eq!(hs.buckets[1], 1); // v=2 ≤ 2^1
         assert_eq!(hs.buckets[HISTOGRAM_BOUNDS], 1); // +Inf
+        assert_eq!(hs.median_bound(), Some(2));
+    }
+
+    #[test]
+    fn median_bound_reports_the_middle_bucket() {
+        let reg = MetricsRegistry::new();
+        let h = reg.histogram("h_us");
+        assert_eq!(
+            reg.snapshot().histogram("h_us").unwrap().median_bound(),
+            None
+        );
+        for v in [3, 100, 120, 130, 5000] {
+            h.observe(v);
+        }
+        assert_eq!(
+            reg.snapshot().histogram("h_us").unwrap().median_bound(),
+            Some(128)
+        );
+        for _ in 0..6 {
+            h.observe(u64::MAX);
+        }
+        assert_eq!(
+            reg.snapshot().histogram("h_us").unwrap().median_bound(),
+            Some(u64::MAX)
+        );
     }
 
     #[test]

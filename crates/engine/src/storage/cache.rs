@@ -21,14 +21,20 @@
 //! for a serial access sequence — they depend only on the order of loads,
 //! never on timing.
 
-use crate::error::{EngineError, Result};
-use crate::obs::{EngineEvent, EventLog};
-use crate::storage::chunkfile::decode_chunk;
-use crate::storage::vfs::{with_retry, Vfs};
+use crate::error::Result;
+use crate::obs::{EngineEvent, EventLog, Obs};
+use crate::storage::chunkfile::{read_chunk, LoadTimers};
+use crate::storage::vfs::Vfs;
 use ongoing_relation::{ChunkPager, PagerError, Tuple};
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::path::PathBuf;
+use std::sync::{Arc, Mutex, OnceLock};
+
+/// Histogram of the `Vfs` read half of every cache miss, in microseconds.
+pub const CHUNK_READ_US_METRIC: &str = "ongoingdb_chunk_read_us";
+/// Histogram of the CRC-check-plus-decode half of every cache miss, in
+/// microseconds.
+pub const CHUNK_DECODE_US_METRIC: &str = "ongoingdb_chunk_decode_us";
 
 /// Counter snapshot of a [`ChunkCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -79,6 +85,9 @@ pub struct ChunkCache {
     dir: PathBuf,
     budget: u64,
     inner: Mutex<CacheInner>,
+    /// Miss timing histograms, set when the owning database attaches its
+    /// registry.
+    timers: OnceLock<LoadTimers>,
 }
 
 impl ChunkCache {
@@ -89,6 +98,7 @@ impl ChunkCache {
             dir,
             budget,
             inner: Mutex::new(CacheInner::default()),
+            timers: OnceLock::new(),
         }
     }
 
@@ -102,10 +112,16 @@ impl ChunkCache {
         self.inner.lock().expect("cache lock").stats
     }
 
-    /// Attaches an event log: future evictions are recorded as
-    /// [`EngineEvent::Eviction`].
-    pub fn set_events(&self, events: Arc<EventLog>) {
-        self.inner.lock().expect("cache lock").events = Some(events);
+    /// Attaches the owning database's observability bundle: future
+    /// evictions are recorded as [`EngineEvent::Eviction`], and every miss
+    /// records its read and decode time in the registry's
+    /// [`CHUNK_READ_US_METRIC`] and [`CHUNK_DECODE_US_METRIC`] histograms.
+    pub fn attach_obs(&self, obs: &Obs) {
+        self.inner.lock().expect("cache lock").events = Some(Arc::clone(&obs.events));
+        let _ = self.timers.set(LoadTimers {
+            read_us: obs.metrics.histogram(CHUNK_READ_US_METRIC),
+            decode_us: obs.metrics.histogram(CHUNK_DECODE_US_METRIC),
+        });
     }
 
     fn path_of(&self, id: u64) -> PathBuf {
@@ -135,28 +151,11 @@ impl ChunkCache {
         }
         // Read outside the lock; concurrent misses on the same id may race
         // the read, the first insert wins and later ones are dropped.
-        let (rows, bytes) = self.read_file(&self.path_of(id))?;
-        if rows.len() != len {
-            return Err(EngineError::CorruptStorage(format!(
-                "chunk {id} holds {} rows, manifest says {len}",
-                rows.len()
-            )));
-        }
+        let (rows, bytes) =
+            read_chunk(self.vfs.as_ref(), &self.path_of(id), len, self.timers.get())?;
         let data: Arc<[Tuple]> = rows.into();
         self.admit(id, Arc::clone(&data), bytes, true);
         Ok(data)
-    }
-
-    /// Reads and verifies one chunk file, returning rows + file size.
-    fn read_file(&self, path: &Path) -> Result<(Vec<Tuple>, u64)> {
-        let raw = with_retry(|| self.vfs.read(path), || Ok(()))?;
-        let rows = decode_chunk(&raw).map_err(|e| match e {
-            EngineError::CorruptStorage(m) => {
-                EngineError::CorruptStorage(format!("{}: {m}", path.display()))
-            }
-            other => other,
-        })?;
-        Ok((rows, raw.len() as u64))
     }
 
     /// Admits (or refreshes) an entry and trims to budget. `count_rows`
@@ -248,10 +247,12 @@ impl ChunkPager for ChunkCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::EngineError;
     use crate::storage::chunkfile::write_chunk;
     use crate::storage::fault::TempDir;
     use crate::storage::vfs::RealFs;
     use ongoing_relation::Value;
+    use std::path::Path;
 
     fn rows(tag: i64, n: usize) -> Vec<Tuple> {
         (0..n as i64)
@@ -378,5 +379,22 @@ mod tests {
         assert_eq!((s.hits, s.misses, s.rows_loaded), (1, 0, 0));
         cache.forget(0);
         assert_eq!(cache.stats().resident_bytes, 0);
+    }
+
+    #[test]
+    fn misses_record_read_and_decode_time() {
+        let dir = TempDir::new("cache-timers");
+        write_chunks(dir.path(), 2, 8);
+        let cache = ChunkCache::new(Arc::new(RealFs), dir.path().to_path_buf(), u64::MAX);
+        let obs = Obs::from_env();
+        cache.attach_obs(&obs);
+        cache.load_chunk(0, 8).unwrap();
+        cache.load_chunk(0, 8).unwrap();
+        cache.load_chunk(1, 8).unwrap();
+        let snap = obs.metrics.snapshot();
+        for name in [CHUNK_READ_US_METRIC, CHUNK_DECODE_US_METRIC] {
+            let h = snap.histogram(name).expect("registered on attach");
+            assert_eq!(h.count, 2, "{name}: one observation per miss, none per hit");
+        }
     }
 }

@@ -22,12 +22,14 @@
 //! one.
 
 use crate::error::{EngineError, Result};
+use crate::obs::Histogram;
 use crate::storage::checksum::crc32;
-use crate::storage::codec::{decode_tuple, encode_tuple};
+use crate::storage::codec::{decode_tuple_with, encode_tuple_into};
 use crate::storage::vfs::{with_retry, DiskError, Vfs};
 use bytes::{Buf, BufMut};
 use ongoing_relation::Tuple;
 use std::path::Path;
+use std::time::Instant;
 
 /// Chunk file magic: `"ODC1"`.
 pub const CHUNK_MAGIC: u32 = 0x3143_444F;
@@ -38,9 +40,7 @@ pub fn encode_chunk(rows: &[Tuple]) -> Vec<u8> {
     buf.put_u32_le(CHUNK_MAGIC);
     buf.put_u32_le(rows.len() as u32);
     for t in rows {
-        let bytes = encode_tuple(t);
-        buf.put_u32_le(bytes.len() as u32);
-        buf.put_slice(&bytes);
+        encode_tuple_into(&mut buf, t);
     }
     let crc = crc32(&buf);
     buf.put_u32_le(crc);
@@ -70,7 +70,10 @@ pub fn decode_chunk(raw: &[u8]) -> Result<Vec<Tuple>> {
         )));
     }
     let n = buf.get_u32_le() as usize;
-    let mut rows = Vec::with_capacity(n);
+    // Every row takes at least its 4-byte length: a count beyond that is
+    // damage, not a reason to reserve.
+    let mut rows = Vec::with_capacity(n.min(buf.len() / 4));
+    let mut scratch = Vec::new();
     for _ in 0..n {
         if buf.remaining() < 4 {
             return Err(EngineError::CorruptStorage("truncated chunk row".into()));
@@ -79,7 +82,7 @@ pub fn decode_chunk(raw: &[u8]) -> Result<Vec<Tuple>> {
         if buf.remaining() < len {
             return Err(EngineError::CorruptStorage("truncated chunk row".into()));
         }
-        let t = decode_tuple(&buf[..len])
+        let t = decode_tuple_with(&buf[..len], &mut scratch)
             .map_err(|e| EngineError::CorruptStorage(format!("chunk row: {e}")))?;
         buf.advance(len);
         rows.push(t);
@@ -110,21 +113,59 @@ pub fn write_chunk(
     Ok(buf.len() as u64)
 }
 
-/// Reads and verifies the chunk file at `path`, retrying transient read
-/// failures.
-pub fn read_chunk(vfs: &dyn Vfs, path: &Path) -> Result<Vec<Tuple>> {
+/// The two halves of a chunk load, in microseconds: the `Vfs` read, and
+/// the CRC check plus decode.
+#[derive(Debug, Clone)]
+pub struct LoadTimers {
+    /// Reading the file's bytes.
+    pub read_us: Histogram,
+    /// Verifying and decoding them.
+    pub decode_us: Histogram,
+}
+
+/// Reads, verifies and decodes the chunk file at `path`, which the
+/// manifest says holds `len` rows, retrying transient read failures.
+/// Returns the rows and the file size. Damage is
+/// [`EngineError::CorruptStorage`] naming the path; `timers`, when given,
+/// record how long the read and the decode took.
+pub fn read_chunk(
+    vfs: &dyn Vfs,
+    path: &Path,
+    len: usize,
+    timers: Option<&LoadTimers>,
+) -> Result<(Vec<Tuple>, u64)> {
+    let start = Instant::now();
     let raw = with_retry(|| vfs.read(path), || Ok(()))?;
-    decode_chunk(&raw).map_err(|e| match e {
+    let read = start.elapsed();
+    let decoded = decode_chunk(&raw).and_then(|rows| {
+        if rows.len() == len {
+            Ok(rows)
+        } else {
+            Err(EngineError::CorruptStorage(format!(
+                "holds {} rows, manifest says {len}",
+                rows.len()
+            )))
+        }
+    });
+    if let Some(t) = timers {
+        t.read_us.observe(read.as_micros() as u64);
+        t.decode_us
+            .observe((start.elapsed() - read).as_micros() as u64);
+    }
+    let rows = decoded.map_err(|e| match e {
         EngineError::CorruptStorage(m) => {
             EngineError::CorruptStorage(format!("{}: {m}", path.display()))
         }
         other => other,
-    })
+    })?;
+    Ok((rows, raw.len() as u64))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::storage::fault::TempDir;
+    use crate::storage::vfs::RealFs;
     use ongoing_core::time::tp;
     use ongoing_core::{IntervalSet, OngoingInterval};
     use ongoing_relation::Value;
@@ -181,5 +222,24 @@ mod tests {
                 "cut at {cut} went undetected"
             );
         }
+    }
+
+    #[test]
+    fn read_chunk_checks_crc_and_length_and_names_the_path() {
+        let dir = TempDir::new("chunk-read");
+        let path = dir.path().join("0.odc");
+        let rows = rows();
+        let written = write_chunk(&RealFs, &path, &rows, false).unwrap();
+        let (back, bytes) = read_chunk(&RealFs, &path, rows.len(), None).unwrap();
+        assert_eq!((back, bytes), (rows.clone(), written));
+        let names_path = |r: Result<(Vec<Tuple>, u64)>| match r {
+            Err(EngineError::CorruptStorage(m)) => m.contains(&path.display().to_string()),
+            _ => false,
+        };
+        assert!(names_path(read_chunk(&RealFs, &path, rows.len() + 1, None)));
+        let mut raw = std::fs::read(&path).unwrap();
+        raw[20] ^= 1;
+        std::fs::write(&path, &raw).unwrap();
+        assert!(names_path(read_chunk(&RealFs, &path, rows.len(), None)));
     }
 }

@@ -1,9 +1,11 @@
 //! Binary tuple codec.
 //!
 //! Serializes tuples into the byte layout described in
-//! [`super::layout`] so relations can be stored in heap pages
-//! ([`super::page`]). The codec is self-describing per value (a 1-byte tag
-//! precedes each payload) and round-trips exactly.
+//! [`super::layout`] — the rows of chunk files ([`super::chunkfile`]) and
+//! WAL records ([`super::wal`]). The codec is self-describing per value (a
+//! 1-byte tag precedes each payload) and round-trips exactly. Decoding
+//! parses straight off the borrowed bytes; a chunk's worth of tuples
+//! shares one scratch buffer for the values.
 //!
 //! Time points are stored as full 8-byte ticks (the 4-byte date figure in
 //! the *layout model* mirrors PostgreSQL's `date`; the wire codec keeps the
@@ -11,7 +13,7 @@
 //! round-trip losslessly).
 
 use crate::error::{EngineError, Result};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes};
 use ongoing_core::{IntervalSet, OngoingInt, OngoingInterval, OngoingPoint, TimePoint};
 use ongoing_relation::{Tuple, Value};
 
@@ -24,7 +26,7 @@ const TAG_POINT: u8 = 5;
 const TAG_INTERVAL: u8 = 6;
 const TAG_ONGOING_INT: u8 = 7;
 
-fn put_value(buf: &mut BytesMut, v: &Value) {
+fn put_value(buf: &mut Vec<u8>, v: &Value) {
     match v {
         Value::Int(x) => {
             buf.put_u8(TAG_INT);
@@ -62,9 +64,8 @@ fn put_value(buf: &mut BytesMut, v: &Value) {
         }
         Value::Count(c) => {
             buf.put_u8(TAG_ONGOING_INT);
-            let pieces: Vec<_> = c.pieces().collect();
-            buf.put_u32_le(pieces.len() as u32);
-            for (start, coef, offset) in pieces {
+            buf.put_u32_le(c.piece_count() as u32);
+            for (start, coef, offset) in c.pieces() {
                 buf.put_i64_le(start.ticks());
                 buf.put_i64_le(coef);
                 buf.put_i64_le(offset);
@@ -73,75 +74,91 @@ fn put_value(buf: &mut BytesMut, v: &Value) {
     }
 }
 
-fn get_value(buf: &mut impl Buf) -> Result<Value> {
-    if buf.remaining() < 1 {
-        return Err(EngineError::Storage("truncated value".into()));
+/// A bounds-checked little-endian cursor over borrowed bytes. Every read
+/// names the error it fails with, so a short input is a typed
+/// [`EngineError::Storage`], never a panic.
+struct Reader<'a> {
+    buf: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8]> {
+        if self.buf.len() < n {
+            return Err(EngineError::Storage(what.into()));
+        }
+        let (head, rest) = self.buf.split_at(n);
+        self.buf = rest;
+        Ok(head)
     }
-    let tag = buf.get_u8();
-    let need = |buf: &mut dyn Buf, n: usize| -> Result<()> {
-        if buf.remaining() < n {
-            Err(EngineError::Storage("truncated value payload".into()))
-        } else {
-            Ok(())
-        }
-    };
-    match tag {
-        TAG_INT => {
-            need(buf, 8)?;
-            Ok(Value::Int(buf.get_i64_le()))
-        }
+
+    fn array<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N]> {
+        let (head, rest) = self
+            .buf
+            .split_first_chunk::<N>()
+            .ok_or_else(|| EngineError::Storage(what.into()))?;
+        self.buf = rest;
+        Ok(*head)
+    }
+
+    fn u8(&mut self, what: &'static str) -> Result<u8> {
+        Ok(self.array::<1>(what)?[0])
+    }
+
+    fn u32(&mut self, what: &'static str) -> Result<u32> {
+        self.array(what).map(u32::from_le_bytes)
+    }
+
+    fn i64(&mut self, what: &'static str) -> Result<i64> {
+        self.array(what).map(i64::from_le_bytes)
+    }
+
+    fn time(&mut self, what: &'static str) -> Result<TimePoint> {
+        self.i64(what).map(TimePoint::new)
+    }
+}
+
+fn point(a: TimePoint, b: TimePoint) -> Result<OngoingPoint> {
+    OngoingPoint::new(a, b).map_err(|e| EngineError::Storage(e.to_string()))
+}
+
+fn get_value(r: &mut Reader<'_>) -> Result<Value> {
+    let p = "truncated value payload";
+    match r.u8("truncated value")? {
+        TAG_INT => Ok(Value::Int(r.i64(p)?)),
         TAG_STR => {
-            need(buf, 4)?;
-            let len = buf.get_u32_le() as usize;
-            need(buf, len)?;
-            let mut raw = vec![0u8; len];
-            buf.copy_to_slice(&mut raw);
-            let s = String::from_utf8(raw)
+            let len = r.u32(p)? as usize;
+            let s = std::str::from_utf8(r.take(len, p)?)
                 .map_err(|_| EngineError::Storage("invalid utf-8 string".into()))?;
-            Ok(Value::str(&s))
+            Ok(Value::str(s))
         }
-        TAG_BOOL => {
-            need(buf, 1)?;
-            Ok(Value::Bool(buf.get_u8() != 0))
-        }
-        TAG_TIME => {
-            need(buf, 8)?;
-            Ok(Value::Time(TimePoint::new(buf.get_i64_le())))
-        }
+        TAG_BOOL => Ok(Value::Bool(r.u8(p)? != 0)),
+        TAG_TIME => Ok(Value::Time(r.time(p)?)),
         TAG_SPAN => {
-            need(buf, 16)?;
-            let s = TimePoint::new(buf.get_i64_le());
-            let e = TimePoint::new(buf.get_i64_le());
+            let raw: [u8; 16] = r.array(p)?;
+            let (s, e) = split_pair(&raw);
             Ok(Value::Span(s, e))
         }
         TAG_POINT => {
-            need(buf, 16)?;
-            let a = TimePoint::new(buf.get_i64_le());
-            let b = TimePoint::new(buf.get_i64_le());
-            let p = OngoingPoint::new(a, b).map_err(|e| EngineError::Storage(e.to_string()))?;
-            Ok(Value::Point(p))
+            let raw: [u8; 16] = r.array(p)?;
+            let (a, b) = split_pair(&raw);
+            Ok(Value::Point(point(a, b)?))
         }
         TAG_INTERVAL => {
-            need(buf, 32)?;
-            let tsa = TimePoint::new(buf.get_i64_le());
-            let tsb = TimePoint::new(buf.get_i64_le());
-            let tea = TimePoint::new(buf.get_i64_le());
-            let teb = TimePoint::new(buf.get_i64_le());
-            let ts =
-                OngoingPoint::new(tsa, tsb).map_err(|e| EngineError::Storage(e.to_string()))?;
-            let te =
-                OngoingPoint::new(tea, teb).map_err(|e| EngineError::Storage(e.to_string()))?;
-            Ok(Value::Interval(OngoingInterval::new(ts, te)))
+            let raw: [u8; 32] = r.array(p)?;
+            let (tsa, tsb) = split_pair(&raw[..16]);
+            let (tea, teb) = split_pair(&raw[16..]);
+            Ok(Value::Interval(OngoingInterval::new(
+                point(tsa, tsb)?,
+                point(tea, teb)?,
+            )))
         }
         TAG_ONGOING_INT => {
-            need(buf, 4)?;
-            let n = buf.get_u32_le() as usize;
-            let mut pieces = Vec::with_capacity(n);
+            let n = r.u32(p)? as usize;
+            let mut pieces = Vec::with_capacity(n.min(r.buf.len() / 24));
             for _ in 0..n {
-                need(buf, 24)?;
-                let start = TimePoint::new(buf.get_i64_le());
-                let coef = buf.get_i64_le();
-                let offset = buf.get_i64_le();
+                let start = r.time(p)?;
+                let coef = r.i64(p)?;
+                let offset = r.i64(p)?;
                 pieces.push((start, coef, offset));
             }
             let c = OngoingInt::from_pieces(pieces)
@@ -152,12 +169,18 @@ fn get_value(buf: &mut impl Buf) -> Result<Value> {
     }
 }
 
-/// Encodes a tuple (values + `RT`) into bytes.
-pub fn encode_tuple(t: &Tuple) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64);
+/// Two little-endian time points from a 16-byte slice.
+fn split_pair(raw: &[u8]) -> (TimePoint, TimePoint) {
+    let (a, b) = raw.split_at(8);
+    let tick = |s: &[u8]| TimePoint::new(i64::from_le_bytes(s.try_into().expect("8 bytes")));
+    (tick(a), tick(b))
+}
+
+/// Writes `t`'s unframed encoding (values + `RT`) to the end of `buf`.
+fn write_tuple(buf: &mut Vec<u8>, t: &Tuple) {
     buf.put_u16_le(t.arity() as u16);
     for v in t.values() {
-        put_value(&mut buf, v);
+        put_value(buf, v);
     }
     let rt = t.rt();
     buf.put_u32_le(rt.cardinality() as u32);
@@ -165,33 +188,54 @@ pub fn encode_tuple(t: &Tuple) -> Bytes {
         buf.put_i64_le(r.ts().ticks());
         buf.put_i64_le(r.te().ticks());
     }
-    buf.freeze()
+}
+
+/// Appends `t` to `buf` framed as `[tuple len u32][tuple bytes]` — the
+/// row framing of chunk files and WAL records. The tuple is written in
+/// place and its length back-patched, so no per-tuple buffer exists.
+pub fn encode_tuple_into(buf: &mut Vec<u8>, t: &Tuple) {
+    let at = buf.len();
+    buf.put_u32_le(0);
+    write_tuple(buf, t);
+    let len = (buf.len() - at - 4) as u32;
+    buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
+}
+
+/// Encodes a tuple (values + `RT`) into bytes, unframed.
+pub fn encode_tuple(t: &Tuple) -> Bytes {
+    let mut buf = Vec::with_capacity(64);
+    write_tuple(&mut buf, t);
+    buf.into()
 }
 
 /// Decodes a tuple encoded by [`encode_tuple`].
-pub fn decode_tuple(mut buf: &[u8]) -> Result<Tuple> {
-    if buf.remaining() < 2 {
-        return Err(EngineError::Storage("truncated tuple".into()));
-    }
-    let arity = buf.get_u16_le() as usize;
-    let mut values = Vec::with_capacity(arity);
+pub fn decode_tuple(buf: &[u8]) -> Result<Tuple> {
+    decode_tuple_with(buf, &mut Vec::new())
+}
+
+/// [`decode_tuple`] reusing `scratch` for the values, so decoding a run
+/// of tuples (a chunk) allocates per tuple only the shared value slice,
+/// one `Arc<str>` per string and the `RT` ranges. `scratch` is left
+/// empty.
+pub(crate) fn decode_tuple_with(buf: &[u8], scratch: &mut Vec<Value>) -> Result<Tuple> {
+    let mut r = Reader { buf };
+    let arity = u16::from_le_bytes(r.array("truncated tuple")?) as usize;
+    scratch.clear();
+    scratch.reserve(arity);
     for _ in 0..arity {
-        values.push(get_value(&mut buf)?);
+        scratch.push(get_value(&mut r)?);
     }
-    if buf.remaining() < 4 {
-        return Err(EngineError::Storage("truncated RT".into()));
-    }
-    let n = buf.get_u32_le() as usize;
-    let mut ranges = Vec::with_capacity(n);
-    for _ in 0..n {
-        if buf.remaining() < 16 {
-            return Err(EngineError::Storage("truncated RT range".into()));
-        }
-        let ts = TimePoint::new(buf.get_i64_le());
-        let te = TimePoint::new(buf.get_i64_le());
-        ranges.push((ts, te));
-    }
-    Ok(Tuple::with_rt(values, IntervalSet::from_ranges(ranges)))
+    let n = r.u32("truncated RT")? as usize;
+    let raw = r.take(n.saturating_mul(16), "truncated RT range")?;
+    // The common case is one range; `range` builds exactly what
+    // `from_ranges` would (empty for `ts >= te`) without its buffers.
+    let rt = if n == 1 {
+        let (ts, te) = split_pair(raw);
+        IntervalSet::range(ts, te)
+    } else {
+        IntervalSet::from_ranges(raw.chunks_exact(16).map(split_pair))
+    };
+    Ok(Tuple::from_shared(scratch.drain(..).collect(), rt))
 }
 
 #[cfg(test)]
@@ -261,12 +305,59 @@ mod tests {
     #[test]
     fn invalid_point_is_an_error() {
         // Hand-craft a point with a > b.
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         buf.put_u16_le(1);
         buf.put_u8(5); // TAG_POINT
         buf.put_i64_le(9);
         buf.put_i64_le(3);
         buf.put_u32_le(0);
         assert!(decode_tuple(&buf).is_err());
+    }
+
+    /// Hand-encodes a one-column tuple whose `RT` stores `ranges` verbatim.
+    fn raw_rt(ranges: &[(i64, i64)]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        buf.put_u16_le(1);
+        buf.put_u8(TAG_INT);
+        buf.put_i64_le(7);
+        buf.put_u32_le(ranges.len() as u32);
+        for &(ts, te) in ranges {
+            buf.put_i64_le(ts);
+            buf.put_i64_le(te);
+        }
+        buf
+    }
+
+    #[test]
+    fn stored_ranges_decode_as_from_ranges_would() {
+        let cases: &[&[(i64, i64)]] = &[
+            &[],
+            &[(3, 9)],
+            &[(9, 3)],
+            &[(5, 5)],
+            &[(i64::MIN, i64::MAX)],
+            &[(20, 30), (0, 5), (4, 10)],
+            &[(1, 1), (7, 2)],
+        ];
+        for ranges in cases {
+            let t = decode_tuple(&raw_rt(ranges)).unwrap();
+            let expect = IntervalSet::from_ranges(ranges.iter().map(|&(a, b)| (tp(a), tp(b))));
+            assert_eq!(t.rt(), &expect, "stored ranges {ranges:?}");
+            assert_eq!(t.values(), &[Value::Int(7)]);
+        }
+    }
+
+    #[test]
+    fn invalid_utf8_is_a_typed_error() {
+        let mut buf = Vec::new();
+        buf.put_u16_le(1);
+        buf.put_u8(TAG_STR);
+        buf.put_u32_le(2);
+        buf.put_slice(&[0xC3, 0x28]);
+        buf.put_u32_le(0);
+        match decode_tuple(&buf) {
+            Err(EngineError::Storage(m)) => assert_eq!(m, "invalid utf-8 string"),
+            other => panic!("expected a storage error, got {other:?}"),
+        }
     }
 }

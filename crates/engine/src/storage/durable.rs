@@ -29,7 +29,7 @@
 use crate::error::{EngineError, Result};
 use crate::obs::{EngineEvent, Obs};
 use crate::storage::cache::ChunkCache;
-use crate::storage::chunkfile::{decode_chunk, write_chunk};
+use crate::storage::chunkfile::{read_chunk, write_chunk};
 use crate::storage::manifest::{read_manifest, write_manifest, Manifest};
 use crate::storage::vfs::{with_retry, DiskError, RealFs, Vfs};
 use crate::storage::wal::{
@@ -349,10 +349,11 @@ impl DurableState {
 
     /// Attaches the owning database's observability bundle (first call
     /// wins): absorbed WAL faults surface as `wal_fault_retry` events and
-    /// the `ongoingdb_wal_fault_retries` counter, and chunk-cache
-    /// evictions as `eviction` events.
+    /// the `ongoingdb_wal_fault_retries` counter, chunk-cache evictions as
+    /// `eviction` events, and chunk-cache misses in the
+    /// `ongoingdb_chunk_read_us` / `ongoingdb_chunk_decode_us` histograms.
     pub fn attach_obs(&self, obs: Arc<Obs>) {
-        self.cache.set_events(Arc::clone(&obs.events));
+        self.cache.attach_obs(&obs);
         let _ = self.obs.set(obs);
     }
 
@@ -665,27 +666,12 @@ impl DurableGuard<'_> {
         let mut loaded = 0u64;
         for entry in &plan.state.chunks {
             let path = chunk_path(&self.state.dir, entry.file);
-            let vfs = self.state.vfs.as_ref();
-            let raw = with_retry(|| vfs.read(&path), || Ok(()))?;
-            let rows = decode_chunk(&raw).map_err(|e| match e {
-                EngineError::CorruptStorage(m) => {
-                    EngineError::CorruptStorage(format!("{}: {m}", path.display()))
-                }
-                other => other,
-            })?;
-            if rows.len() != entry.base_len {
-                return Err(EngineError::CorruptStorage(format!(
-                    "chunk file {} holds {} rows, manifest says {}",
-                    entry.file,
-                    rows.len(),
-                    entry.base_len
-                )));
-            }
+            let (rows, bytes) = read_chunk(self.state.vfs.as_ref(), &path, entry.base_len, None)?;
             loaded += rows.len() as u64;
             let base: Arc<[Tuple]> = rows.into();
             self.inner.chunk_cache.insert(
                 base.as_ptr() as usize,
-                (entry.file, raw.len() as u64, Arc::clone(&base)),
+                (entry.file, bytes, Arc::clone(&base)),
             );
             parts.push((base, entry.overlay.clone()));
         }

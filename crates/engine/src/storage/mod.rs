@@ -17,7 +17,7 @@ pub mod manifest;
 pub mod vfs;
 pub mod wal;
 
-pub use cache::{CacheStats, ChunkCache};
+pub use cache::{CacheStats, ChunkCache, CHUNK_DECODE_US_METRIC, CHUNK_READ_US_METRIC};
 pub use durable::{DurableOptions, DurableStats};
 pub use fault::{FaultFs, FaultKind, FaultMode, FaultPlan, FaultVfs, OpKind, TempDir};
 pub use layout::{measure_relation, measure_tuple, RelationFootprint, TupleFootprint};

@@ -37,7 +37,7 @@
 
 use crate::error::{EngineError, Result};
 use crate::storage::checksum::crc32;
-use crate::storage::codec::{decode_tuple, encode_tuple};
+use crate::storage::codec::{decode_tuple, encode_tuple_into};
 use crate::storage::vfs::{with_retry, with_retry_counted, DiskError, Vfs};
 use bytes::{Buf, BufMut};
 use ongoing_relation::{Attribute, JournalOp, Schema, Tuple, ValueType};
@@ -154,12 +154,6 @@ fn get_str(buf: &mut &[u8]) -> Result<String> {
     String::from_utf8(raw).map_err(|_| corrupt("invalid utf-8 string"))
 }
 
-fn put_tuple(buf: &mut Vec<u8>, t: &Tuple) {
-    let bytes = encode_tuple(t);
-    buf.put_u32_le(bytes.len() as u32);
-    buf.put_slice(&bytes);
-}
-
 fn get_tuple(buf: &mut &[u8]) -> Result<Tuple> {
     need(buf, 4, "tuple length")?;
     let len = buf.get_u32_le() as usize;
@@ -175,7 +169,7 @@ fn put_overlay(buf: &mut Vec<u8>, overlay: &BTreeMap<usize, Vec<Tuple>>) {
         buf.put_u32_le(off as u32);
         buf.put_u32_le(rows.len() as u32);
         for t in rows {
-            put_tuple(buf, t);
+            encode_tuple_into(buf, t);
         }
     }
 }
@@ -262,7 +256,7 @@ fn put_op(buf: &mut Vec<u8>, op: &JournalOp) {
     match op {
         JournalOp::Append(t) => {
             buf.put_u8(OP_APPEND);
-            put_tuple(buf, t);
+            encode_tuple_into(buf, t);
         }
         JournalOp::Edits(entries) => {
             buf.put_u8(OP_EDITS);
@@ -273,7 +267,7 @@ fn put_op(buf: &mut Vec<u8>, op: &JournalOp) {
                 buf.put_u64_le(*touched);
                 buf.put_u32_le(rows.len() as u32);
                 for t in rows {
-                    put_tuple(buf, t);
+                    encode_tuple_into(buf, t);
                 }
             }
         }

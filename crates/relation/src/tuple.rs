@@ -40,6 +40,12 @@ impl Tuple {
         }
     }
 
+    /// A tuple over an already shared value slice — how a decoder builds
+    /// the slice once instead of copying a `Vec` into it.
+    pub fn from_shared(values: Arc<[Value]>, rt: IntervalSet) -> Self {
+        Tuple { values, rt }
+    }
+
     /// A tuple sharing this tuple's values but carrying a different `RT` —
     /// the cheap path for selection.
     pub fn restricted(&self, rt: IntervalSet) -> Self {
